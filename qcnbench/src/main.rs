@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Set-ups per untraced run; `setup_s` is their median.
-const SETUPS: usize = 9;
+const SETUPS: usize = 25;
 
 /// A run's verdict and metrics.
 pub struct Outcome {
@@ -61,6 +61,21 @@ impl Outcome {
             .push((name.to_string(), value, unit.to_string(), samples));
     }
 
+    /// Adds `setup_s`, the median of the run's set-up times, and a line
+    /// with their range.
+    fn setup(&mut self, samples: &[f64]) {
+        let mut v = samples.to_vec();
+        v.sort_by(f64::total_cmp);
+        let median = stats::median(&v).expect("at least one set-up");
+        self.note(format!(
+            "set-ups: {} of {:.6} to {:.6} s",
+            v.len(),
+            v[0],
+            v[v.len() - 1]
+        ));
+        self.metric("setup_s", median, "s", v.len());
+    }
+
     /// Adds a line for the human-readable part of the report.
     fn note(&mut self, line: String) {
         self.notes.push(line);
@@ -83,12 +98,9 @@ impl Outcome {
     }
 }
 
-/// The commit being measured: `QCN_BENCH_COMMIT`, else the checkout's
-/// own `.git`, else `unknown`.
+/// The commit being measured, read from the checkout's own `.git`, else
+/// `unknown`.
 fn commit() -> String {
-    if let Ok(c) = std::env::var("QCN_BENCH_COMMIT") {
-        return c;
-    }
     let git = PathBuf::from(".git");
     let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
         return "unknown".into();

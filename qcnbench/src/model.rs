@@ -158,8 +158,9 @@ fn layer(weight: u8, act: u8, dr: Option<u8>) -> LayerQuant {
     }
 }
 
-/// The configuration the `search` workload selects (RTN, Path A), which
-/// `serve_fq_rtn` serves.
+/// The RTN Path A configuration, recorded from the `search` workload, that
+/// `serve_fq_rtn` serves. An untraced `search` run notes when the search
+/// no longer selects it.
 pub fn rtn_serving_config() -> ModelQuant {
     ModelQuant {
         layers: vec![layer(3, 3, None), layer(3, 3, None), layer(3, 3, Some(3))],

@@ -11,8 +11,8 @@ use crate::timed::TimedCapsNet;
 use crate::trace;
 use crate::Outcome;
 use qcapsnets::{
-    run, run_library, select, EvalStats, Evaluator, FrameworkConfig, QuantResult, SearchAccel,
-    Selection,
+    run, run_library, select, EvalStats, Evaluator, FrameworkConfig, LibraryReport, QuantResult,
+    SearchAccel, Selection,
 };
 use qcn_capsnet::{CapsNet, ShallowCaps};
 use qcn_datasets::Dataset;
@@ -113,12 +113,12 @@ fn cold_check(bench: &Bench, sel: &Selection) -> bool {
 
 /// Repeats the library search for `seconds` (at least `min_reps` times);
 /// returns each repetition's wall and CPU seconds, and checks every
-/// selection against `reference` (the first one, when `None`).
+/// selection against `reference`'s (the first report, when `None`).
 fn repeat(
     bench: &Bench,
     seconds: f64,
     min_reps: usize,
-    reference: &mut Option<Selection>,
+    reference: &mut Option<LibraryReport>,
     out: &mut Outcome,
 ) -> Result<Vec<(f64, f64)>, String> {
     let start = Instant::now();
@@ -129,12 +129,12 @@ fn repeat(
         times.push((t.elapsed().as_secs_f64(), proc::process_cpu_s()? - cpu));
         out.attempted += 1;
         match reference {
-            Some(r) if !identical(r, &report.selection) => {
+            Some(r) if !identical(&r.selection, &report.selection) => {
                 out.failed += 1;
                 out.correct = false;
             }
             Some(_) => {}
-            None => *reference = Some(report.selection),
+            None => *reference = Some(report),
         }
     }
     Ok(times)
@@ -172,7 +172,18 @@ pub fn run_workload(seed: u64, seconds: f64, setups: usize) -> Result<Outcome, S
             setup_s.push(start.elapsed().as_secs_f64());
         }
     }
-    let sel = reference.expect("at least one repetition");
+    let first = reference.expect("at least one repetition");
+    let served = model::rtn_serving_config();
+    let rtn_selects_served = first.runs.iter().any(|(scheme, r)| {
+        *scheme == RoundingScheme::RoundToNearest
+            && matches!(&r.outcome, qcapsnets::Outcome::Satisfied(q) if q.config == served)
+    });
+    if !rtn_selects_served {
+        out.note(format!(
+            "the RTN search no longer selects the configuration serve_fq_rtn serves, {served:?}"
+        ));
+    }
+    let sel = first.selection;
     out.attempted += 1;
     if !cold_check(&bench, &sel) {
         out.failed += 1;
@@ -185,12 +196,7 @@ pub fn run_workload(seed: u64, seconds: f64, setups: usize) -> Result<Outcome, S
         wall.len(),
         stats::median(&wall).expect("repetitions")
     ));
-    out.metric(
-        "setup_s",
-        stats::median(&setup_s).expect("setups"),
-        "s",
-        setup_s.len(),
-    );
+    out.setup(&setup_s);
     out.metric(
         "cpu_ms_per_op",
         cpu.iter().sum::<f64>() * 1e3 / cpu.len() as f64,
@@ -222,7 +228,7 @@ pub fn traced(seed: u64, seconds: f64) -> Result<Outcome, String> {
     let mut reference = None;
     let untraced = repeat(&bench, seconds * 0.5, 3, &mut reference, &mut out)?;
     let untraced_cpu: f64 = untraced.iter().map(|r| r.1).sum();
-    let reference = reference.expect("at least one repetition");
+    let reference = reference.expect("at least one repetition").selection;
 
     let t = trace::enable();
     let reg_before = Readings::now();

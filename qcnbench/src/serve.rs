@@ -292,8 +292,11 @@ fn timed_setup(spec: &Spec, seed: u64) -> Result<f64, String> {
     Ok(took)
 }
 
-/// The untraced run: the open-loop phase, split into `setups − 1` parts
-/// with a timed throwaway set-up after each, so the set-ups whose median
+/// Parts an untraced serving run is split into.
+const PARTS: usize = 8;
+
+/// The untraced run: the open-loop phase, split into [`PARTS`] parts
+/// with timed throwaway set-ups after each, so the set-ups whose median
 /// is `setup_s` are spread over the run. `cpu_ms_per_op` is the median
 /// over the parts of each part's CPU time per request.
 pub fn run(spec: &Spec, seed: u64, seconds: f64, setups: usize) -> Result<Outcome, String> {
@@ -301,14 +304,15 @@ pub fn run(spec: &Spec, seed: u64, seconds: f64, setups: usize) -> Result<Outcom
     let start = Instant::now();
     let fleet = set_up(spec, seed)?;
     let mut setup_s = vec![start.elapsed().as_secs_f64()];
-    let parts = setups.max(2) - 1;
     let (mut records, mut cpu_per_req) = (Vec::new(), Vec::new());
-    for part in 0..parts {
-        let plan = Plan::poisson(seed, part as u64, spec.rate, seconds / parts as f64, POOL);
+    for part in 0..PARTS {
+        let plan = Plan::poisson(seed, part as u64, spec.rate, seconds / PARTS as f64, POOL);
         let (r, cpu) = play_phase(&fleet, &plan)?;
         cpu_per_req.push(cpu / r.len().max(1) as f64);
         records.extend(r);
-        setup_s.push(timed_setup(spec, seed)?);
+        while setup_s.len() < 1 + (part + 1) * setups.saturating_sub(1) / PARTS {
+            setup_s.push(timed_setup(spec, seed)?);
+        }
     }
     tally(&mut out, &records);
     let lat = latencies_ms(&records);
@@ -324,12 +328,7 @@ pub fn run(spec: &Spec, seed: u64, seconds: f64, setups: usize) -> Result<Outcom
         pct(0.5),
         pct(0.99),
     ));
-    out.metric(
-        "setup_s",
-        stats::median(&setup_s).expect("setups"),
-        "s",
-        setup_s.len(),
-    );
+    out.setup(&setup_s);
     out.metric(
         "cpu_ms_per_op",
         stats::median(&cpu_per_req).expect("parts") * 1e3,
