@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qcn_fixed::RoundingScheme;
 use qcn_intinfer::epilogue::KeyedRequant;
-use qcn_intinfer::kernels::{caps_votes_raw, conv2d_raw};
+use qcn_intinfer::kernels::{caps_votes_raw, conv2d_raw, RawWeights};
 use qcn_intinfer::IntTensor;
 use qcn_tensor::conv::Conv2dSpec;
 use std::hint::black_box;
@@ -24,16 +24,17 @@ fn raw_values(n: usize, frac: u8, seed: i64) -> Vec<i64> {
 fn bench_int_conv2d(c: &mut Criterion) {
     // Same geometry as "conv2d 8x16x16x16 -> 32ch 3x3" in kernels.rs.
     let x = IntTensor::from_raw(raw_values(8 * 16 * 16 * 16, 5, 1), vec![8, 16, 16, 16], 5);
-    let weight = raw_values(32 * 16 * 3 * 3, 5, 2);
-    let bias = raw_values(32, 5, 3);
+    let weight = RawWeights::new(&raw_values(32 * 16 * 3 * 3, 5, 2));
+    let bias = RawWeights::new(&raw_values(32, 5, 3));
     let spec = Conv2dSpec::new(3, 3, 1, 1);
     let acc = x.frac() + 5;
     c.bench_function("int conv2d 8x16x16x16 -> 32ch 3x3 (no epilogue)", |b| {
         b.iter(|| {
             conv2d_raw(
                 black_box(&x),
-                black_box(&weight),
-                Some(&bias),
+                None,
+                black_box(weight.view()),
+                Some(bias.view()),
                 32,
                 spec,
                 acc,
@@ -47,8 +48,9 @@ fn bench_int_conv2d(c: &mut Criterion) {
         b.iter(|| {
             conv2d_raw(
                 black_box(&x),
-                black_box(&weight),
-                Some(&bias),
+                None,
+                black_box(weight.view()),
+                Some(bias.view()),
                 32,
                 spec,
                 5,
@@ -61,12 +63,12 @@ fn bench_int_conv2d(c: &mut Criterion) {
 fn bench_int_caps_votes(c: &mut Criterion) {
     // Same geometry as "caps_votes 16x128x4 -> 10x8" in kernels.rs.
     let input = IntTensor::from_raw(raw_values(16 * 128 * 4, 5, 4), vec![16, 128, 4], 5);
-    let weight = raw_values(128 * 10 * 4 * 8, 5, 5);
+    let weight = RawWeights::new(&raw_values(128 * 10 * 4 * 8, 5, 5));
     let acc = input.frac() + 5;
     let rq = KeyedRequant::new(RoundingScheme::RoundToNearest, acc, 4, 0xBEEF);
     let epi = move |off: usize, panel: &mut [i64]| rq.apply_raw(off, panel);
     c.bench_function("int caps_votes 16x128x4 -> 10x8 (fused requant)", |b| {
-        b.iter(|| caps_votes_raw(black_box(&input), black_box(&weight), 10, 8, 4, &epi))
+        b.iter(|| caps_votes_raw(black_box(&input), black_box(weight.view()), 10, 8, 4, &epi))
     });
 }
 

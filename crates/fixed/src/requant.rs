@@ -72,6 +72,95 @@ pub fn requant_raw(scheme: RoundingScheme, raw: i64, in_frac: u8, out: QFormat, 
     rounded.clamp(out.min_raw() as i128, out.max_raw() as i128) as i64
 }
 
+/// How one slice requantization runs, decided once from the shift.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// `shift = −s ≤ 0` with `s ≤ 62`: multiply by `2^s` in `i64`; an
+    /// overflowing product lies beyond any output range, so it saturates.
+    Widen { mul: i64 },
+    /// `1 ≤ shift ≤ 62`: the floor, remainder and bump all fit `i64`.
+    Narrow {
+        shift: u32,
+        mask: i64,
+        half: i64,
+        /// `2^−shift`, exact (a power of two).
+        scale: f64,
+    },
+    /// Any other shift: per-element [`requant_raw`].
+    Fallback,
+}
+
+/// [`requant_raw`] with its per-slice constants hoisted: the shift, the
+/// exact `2^−shift` scale, the clamp range and the remainder mask are
+/// computed once, and the element step runs in `i64` wherever the shift
+/// allows. It makes the same decision as [`requant_raw`] on the same
+/// integers, so it returns the same bits.
+#[derive(Debug, Clone, Copy)]
+struct SliceRequant {
+    scheme: RoundingScheme,
+    in_frac: u8,
+    out: QFormat,
+    lo: i64,
+    hi: i64,
+    path: Path,
+}
+
+impl SliceRequant {
+    fn new(scheme: RoundingScheme, in_frac: u8, out: QFormat) -> Self {
+        let shift = in_frac as i32 - out.frac_bits() as i32;
+        let path = match shift {
+            -62..=0 => Path::Widen {
+                mul: 1i64 << (-shift) as u32,
+            },
+            1..=62 => Path::Narrow {
+                shift: shift as u32,
+                mask: (1i64 << shift) - 1,
+                half: 1i64 << (shift - 1),
+                scale: (-(shift as f64)).exp2(),
+            },
+            _ => Path::Fallback,
+        };
+        SliceRequant {
+            scheme,
+            in_frac,
+            out,
+            lo: out.min_raw(),
+            hi: out.max_raw(),
+            path,
+        }
+    }
+
+    #[inline(always)]
+    fn apply(&self, raw: i64, u: f64) -> i64 {
+        match self.path {
+            Path::Widen { mul } => match raw.checked_mul(mul) {
+                Some(v) => v.clamp(self.lo, self.hi),
+                None if raw < 0 => self.lo,
+                None => self.hi,
+            },
+            Path::Narrow {
+                shift,
+                mask,
+                half,
+                scale,
+            } => {
+                let floor = raw >> shift;
+                let rem = raw & mask; // = raw − (floor << shift) ∈ [0, 2^shift)
+                let bump = match self.scheme {
+                    RoundingScheme::Truncation => false,
+                    RoundingScheme::RoundToNearest => rem >= half,
+                    RoundingScheme::RoundToNearestEven => {
+                        rem > half || (rem == half && floor & 1 == 1)
+                    }
+                    RoundingScheme::Stochastic => u < rem as f64 * scale,
+                };
+                (floor + i64::from(bump)).clamp(self.lo, self.hi)
+            }
+            Path::Fallback => requant_raw(self.scheme, raw, self.in_frac, self.out, u),
+        }
+    }
+}
+
 /// Requantizes a slice of raw values in place with caller-supplied
 /// stochastic draws: `draw(i)` must return the uniform in `[0, 1)` for
 /// element `i`. Only [`RoundingScheme::Stochastic`] calls `draw` — exactly
@@ -79,6 +168,9 @@ pub fn requant_raw(scheme: RoundingScheme, raw: i64, in_frac: u8, out: QFormat, 
 /// integer pass consumes the same random stream as the f32 reference it
 /// mirrors (one draw per element, in slice order, even when `shift ≤ 0`
 /// makes the rounding an exact widening).
+///
+/// Bit-identical to calling [`requant_raw`] per element; the per-slice
+/// constants are computed once instead of per element.
 pub fn requant_slice_with(
     scheme: RoundingScheme,
     values: &mut [i64],
@@ -86,15 +178,16 @@ pub fn requant_slice_with(
     out: QFormat,
     mut draw: impl FnMut(usize) -> f64,
 ) {
+    let rq = SliceRequant::new(scheme, in_frac, out);
     match scheme {
         RoundingScheme::Stochastic => {
             for (i, v) in values.iter_mut().enumerate() {
-                *v = requant_raw(scheme, *v, in_frac, out, draw(i));
+                *v = rq.apply(*v, draw(i));
             }
         }
         _ => {
             for v in values.iter_mut() {
-                *v = requant_raw(scheme, *v, in_frac, out, 0.0);
+                *v = rq.apply(*v, 0.0);
             }
         }
     }
@@ -229,6 +322,97 @@ mod tests {
         assert_eq!(requant_raw(sr, 5, 4, out, 0.25), 1); // u ≥ frac → down
                                                          // On-grid values never move regardless of the draw.
         assert_eq!(requant_raw(sr, 4, 4, out, 0.0), 1);
+    }
+
+    /// `requant_slice_with` against per-element `requant_raw` on the same
+    /// values and draws, recording which draws the slice path asks for.
+    fn check_slice_against_scalar(
+        scheme: RoundingScheme,
+        raws: &[i64],
+        in_frac: u8,
+        out: QFormat,
+        draws: &[f64],
+    ) {
+        let u = |i: usize| draws[i % draws.len()];
+        let want: Vec<i64> = raws
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| requant_raw(scheme, r, in_frac, out, u(i)))
+            .collect();
+        let mut got = raws.to_vec();
+        let mut asked = Vec::new();
+        requant_slice_with(scheme, &mut got, in_frac, out, |i| {
+            asked.push(i);
+            u(i)
+        });
+        assert_eq!(got, want, "{scheme} in_frac={in_frac} out={out}");
+        // One draw per element, in slice order, under SR only.
+        let expect_asked: Vec<usize> = match scheme {
+            RoundingScheme::Stochastic => (0..raws.len()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(asked, expect_asked, "{scheme} draw sequence");
+    }
+
+    #[test]
+    fn hoisted_slice_matches_per_element_requant_raw() {
+        // (in_frac, out) pairs covering shift ≤ 0 (including widenings
+        // whose products overflow i64 and must saturate), 1..=52, the
+        // > 52 shifts where the remainder is no longer exact in f64, and
+        // the ≥ 63 shifts that take the i128 fallback.
+        let cases = [
+            (3u8, QFormat::with_frac(3)),
+            (3, QFormat::with_frac(9)),
+            (0, QFormat::new(1, 61)),
+            (2, QFormat::new(20, 40)),
+            (11, QFormat::with_frac(2)),
+            (11, QFormat::with_frac(5)),
+            (11, QFormat::with_frac(10)),
+            (20, QFormat::with_frac(5)),
+            (40, QFormat::with_frac(5)),
+            (52, QFormat::new(8, 0)),
+            (56, QFormat::with_frac(3)),
+            (60, QFormat::new(30, 2)),
+            (62, QFormat::new(2, 0)),
+            (63, QFormat::new(2, 0)),
+            (100, QFormat::with_frac(2)),
+        ];
+        let draws = [0.0, 0.999_999, 0.5, 0.25, 1e-12, 0.75, 0.5 - 1e-16, 0.123];
+        for scheme in RoundingScheme::EXTENDED {
+            for &(in_frac, out) in &cases {
+                // Exhaustive over a 13-bit window, then the extremes.
+                let mut raws: Vec<i64> = (-(1i64 << 12)..(1i64 << 12)).collect();
+                raws.extend([
+                    i64::MIN,
+                    i64::MIN + 1,
+                    i64::MAX,
+                    i64::MAX - 1,
+                    1 << 40,
+                    -(1 << 40) - 1,
+                    out.min_raw() - 1,
+                    out.max_raw() + 1,
+                    (1 << 52) + 3,
+                    -(1 << 60) + 7,
+                ]);
+                check_slice_against_scalar(scheme, &raws, in_frac, out, &draws);
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_slice_matches_on_every_narrow_word() {
+        // Every 8-bit input word against every output width, every scheme,
+        // with each input seeing several draws.
+        for scheme in RoundingScheme::EXTENDED {
+            for in_frac in 0u8..=9 {
+                for out_frac in 0u8..=9 {
+                    let out = QFormat::with_frac(out_frac);
+                    let raws: Vec<i64> = (-256i64..256).flat_map(|r| [r; 3]).collect();
+                    let draws = [0.1, 0.5, 0.9, 0.0, 0.375];
+                    check_slice_against_scalar(scheme, &raws, in_frac, out, &draws);
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! [`qcapsnets::export::PackedModel`] (the deployment wordlength blob) and
 //! runs the complete ShallowCaps / DeepCaps forward pass on raw integers:
 //!
-//! * **Linear kernels** ([convolution and capsule votes](crate::IntModel))
-//!   multiply raw fixed-point words into exact `i64` accumulators at
-//!   `x.frac + w.frac` fractional bits.
+//! * **Linear kernels** ([convolution and capsule votes](crate::kernels))
+//!   multiply raw fixed-point words into exact accumulators at
+//!   `x.frac + w.frac` fractional bits. Convolutions run on the f32
+//!   path's blocked implicit GEMM, in `i32` where the operand bounds
+//!   prove it cannot overflow and in `i64` otherwise.
 //! * **Requantization** between layers is the shift-based
 //!   [`qcn_fixed::requant_raw`] under the model's rounding scheme
 //!   (TRN/RTN/RTNE/SR), applied through writeback epilogues that key every

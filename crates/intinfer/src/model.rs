@@ -2,7 +2,7 @@
 //! full forward pass.
 
 use crate::epilogue::KeyedRequant;
-use crate::kernels::{caps_votes_raw, conv2d_raw};
+use crate::kernels::{caps_votes_raw, conv2d_raw, RawWeights};
 use crate::routing::{route_per_sample_raw, RoutingSpec};
 use crate::tensor::{flatten_caps_raw, IntTensor};
 use crate::units::{squash_blocks_requant, UnitMode};
@@ -150,13 +150,21 @@ struct GroupBits {
 }
 
 /// One executable group: structure, widths, and raw parameter blobs split
-/// per tensor in registration order.
+/// per tensor in registration order (each prepared for the integer
+/// kernels once, at load: `max|w|` and the narrowest word width).
 #[derive(Debug, Clone)]
 struct LoadedGroup {
     name: String,
     desc: GroupDesc,
     bits: GroupBits,
-    params: Vec<Vec<i64>>,
+    params: Vec<RawWeights>,
+}
+
+/// `max|x|` implied by an activation's format: every group stores its
+/// output requantized (and saturated) onto `Q1.frac`, whose raw range is
+/// `[−2^frac, 2^frac)`. `None` (scan instead) for an absurd width.
+fn format_bound(frac: u8) -> Option<u64> {
+    1u64.checked_shl(frac as u32)
 }
 
 /// A packed model loaded into directly executable integer form.
@@ -299,7 +307,7 @@ impl IntModel {
             let mut offset = 0usize;
             for shape in gdesc.param_shapes() {
                 let len: usize = shape.iter().product();
-                params.push(flat[offset..offset + len].to_vec());
+                params.push(RawWeights::new(&flat[offset..offset + len]));
                 offset += len;
             }
             groups.push(LoadedGroup {
@@ -386,6 +394,9 @@ impl IntModel {
         } else {
             None
         };
+        // The model input's format does not bound it: the first conv scans
+        // it once. Every later operand is a requantized group output.
+        let mut x_max = None;
         for (s, group) in self.groups.iter().enumerate() {
             let _t = qcn_capsnet::stage_span("integer", &self.name, names.as_deref(), s);
             match &group.desc {
@@ -404,14 +415,16 @@ impl IntModel {
                         bits.act,
                         dr,
                         cur,
+                        x_max,
                         mode,
                         ctx,
                     );
                 }
                 GroupDesc::Block(block) => {
-                    cur = run_block(block, &group.bits, &group.params, cur, mode, ctx);
+                    cur = run_block(block, &group.bits, &group.params, cur, x_max, mode, ctx);
                 }
             }
+            x_max = format_bound(cur.frac());
         }
         cur
     }
@@ -468,15 +481,17 @@ impl IntModel {
 /// DeepCaps blocks); `dr` the routing width where applicable. The
 /// `fork_base` draws mirror the reference layer implementations exactly —
 /// conv/ConvCaps bind their epilogue before the kernel, ConvCapsRouting
-/// binds one per input type inside its loop.
+/// binds one per input type inside its loop. `x_max` bounds `|x|` for the
+/// convolutions (`None`: unknown, scan).
 #[allow(clippy::too_many_arguments)]
 fn run_layer(
     layer: &LayerDesc,
-    params: &[Vec<i64>],
+    params: &[RawWeights],
     w_frac: u8,
     out_frac: u8,
     dr: u8,
     x: IntTensor,
+    x_max: Option<u64>,
     mode: UnitMode,
     ctx: &mut QuantCtx,
 ) -> IntTensor {
@@ -502,8 +517,9 @@ fn run_layer(
             };
             conv2d_raw(
                 &x,
-                &params[0],
-                Some(&params[1]),
+                x_max,
+                params[0].view(),
+                Some(params[1].view()),
                 *out_channels,
                 *spec,
                 out_frac,
@@ -518,8 +534,9 @@ fn run_layer(
             let acc = x.frac() + w_frac;
             let y = conv2d_raw(
                 &x,
-                &params[0],
-                Some(&params[1]),
+                x_max,
+                params[0].view(),
+                Some(params[1].view()),
                 types * dim,
                 *spec,
                 acc,
@@ -550,8 +567,9 @@ fn run_layer(
                 let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
                 return conv2d_raw(
                     &x,
-                    &params[0],
-                    Some(&params[1]),
+                    x_max,
+                    params[0].view(),
+                    Some(params[1].view()),
                     types * dim,
                     *spec,
                     out_frac,
@@ -560,8 +578,9 @@ fn run_layer(
             }
             let y = conv2d_raw(
                 &x,
-                &params[0],
-                Some(&params[1]),
+                x_max,
+                params[0].view(),
+                Some(params[1].view()),
                 types * dim,
                 *spec,
                 acc,
@@ -594,8 +613,8 @@ fn run_layer(
                 let rq = KeyedRequant::new(scheme, acc, dr, ctx.fork_base());
                 let epi = move |off: usize, row: &mut [i64]| rq.apply_raw(off, row);
                 let x_t = x.slice_channels(ti * in_dim, *in_dim);
-                let w_t = &params[0][ti * per_type..(ti + 1) * per_type];
-                let v_t = conv2d_raw(&x_t, w_t, None, out_ch, *spec, dr, Some(&epi));
+                let w_t = params[0].view().slice(ti * per_type..(ti + 1) * per_type);
+                let v_t = conv2d_raw(&x_t, x_max, w_t, None, out_ch, *spec, dr, Some(&epi));
                 for bi in 0..b {
                     let src = &v_t.data()[bi * out_ch * s_spatial..(bi + 1) * out_ch * s_spatial];
                     let dst = (bi * in_types + ti) * out_ch * s_spatial;
@@ -629,7 +648,7 @@ fn run_layer(
             let acc = x.frac() + w_frac;
             let rq = KeyedRequant::new(scheme, acc, dr, ctx.fork_base());
             let epi = move |off: usize, panel: &mut [i64]| rq.apply_raw(off, panel);
-            let votes = caps_votes_raw(&x, &params[0], *out_caps, *out_dim, dr, &epi)
+            let votes = caps_votes_raw(&x, params[0].view(), *out_caps, *out_dim, dr, &epi)
                 .reshape(vec![b, *in_caps, *out_caps, *out_dim, 1]);
             let routed = route_per_sample_raw(
                 &votes,
@@ -658,8 +677,9 @@ fn run_layer(
 fn run_block(
     block: &BlockDesc,
     bits: &GroupBits,
-    params: &[Vec<i64>],
+    params: &[RawWeights],
     x: IntTensor,
+    x_max: Option<u64>,
     mode: UnitMode,
     ctx: &mut QuantCtx,
 ) -> IntTensor {
@@ -674,6 +694,7 @@ fn run_block(
         stream,
         dr,
         x.clone(),
+        x_max,
         mode,
         ctx,
     );
@@ -684,6 +705,7 @@ fn run_block(
         stream,
         dr,
         m1,
+        format_bound(stream),
         mode,
         ctx,
     );
@@ -694,6 +716,7 @@ fn run_block(
         stream,
         dr,
         x,
+        x_max,
         mode,
         ctx,
     );

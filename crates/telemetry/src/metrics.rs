@@ -96,9 +96,10 @@ struct HistCore {
     /// Finite ascending bucket upper bounds; an implicit `+Inf` bucket
     /// follows the last.
     bounds: Vec<f64>,
-    /// Per-bucket observation counts, `bounds.len() + 1` entries.
+    /// Per-bucket observation counts, `bounds.len() + 1` entries. The
+    /// total count is their sum, so a reader that takes `_count` from the
+    /// same pass as the buckets always sees `_count == +Inf bucket`.
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     /// Sum of observations, stored as `f64` bits (CAS add).
     sum_bits: AtomicU64,
 }
@@ -118,7 +119,6 @@ impl Histogram {
             .position(|&b| v <= b)
             .unwrap_or(core.bounds.len());
         core.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
         let mut old = core.sum_bits.load(Ordering::Relaxed);
         loop {
             let new = (f64::from_bits(old) + v).to_bits();
@@ -134,9 +134,26 @@ impl Histogram {
         }
     }
 
-    /// Total observations.
+    /// Total observations (the sum of the bucket counts).
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Cumulative bucket counts, `+Inf` last, read in one pass.
+    fn cumulative(&self) -> Vec<u64> {
+        let mut total = 0u64;
+        self.0
+            .buckets
+            .iter()
+            .map(|b| {
+                total += b.load(Ordering::Relaxed);
+                total
+            })
+            .collect()
     }
 
     /// Sum of all observations.
@@ -374,7 +391,6 @@ impl Registry {
             Series::Histogram(Histogram(Arc::new(HistCore {
                 bounds: bounds.to_vec(),
                 buckets,
-                count: AtomicU64::new(0),
                 sum_bits: AtomicU64::new(0.0f64.to_bits()),
             })))
         });
@@ -396,17 +412,16 @@ impl Registry {
                     Series::Counter(c) => MetricValue::Counter(c.get()),
                     Series::Gauge(g) => MetricValue::Gauge(g.get()),
                     Series::Histogram(h) => {
-                        let core = &h.0;
-                        let mut cumulative = 0u64;
-                        let mut buckets = Vec::with_capacity(core.buckets.len());
-                        for (i, b) in core.buckets.iter().enumerate() {
-                            cumulative += b.load(Ordering::Relaxed);
-                            let bound = core.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-                            buckets.push((bound, cumulative));
-                        }
+                        let cumulative = h.cumulative();
+                        let count = cumulative.last().copied().unwrap_or(0);
+                        let buckets = cumulative
+                            .into_iter()
+                            .enumerate()
+                            .map(|(i, c)| (h.0.bounds.get(i).copied().unwrap_or(f64::INFINITY), c))
+                            .collect();
                         MetricValue::Histogram {
                             buckets,
-                            count: h.count(),
+                            count,
                             sum: h.sum(),
                         }
                     }
@@ -446,11 +461,9 @@ impl Registry {
                         let _ = writeln!(out, "{}{} {}", name, render_labels(labels, &[]), g.get());
                     }
                     Series::Histogram(h) => {
-                        let core = &h.0;
-                        let mut cumulative = 0u64;
-                        for (i, b) in core.buckets.iter().enumerate() {
-                            cumulative += b.load(Ordering::Relaxed);
-                            let le = match core.bounds.get(i) {
+                        let cumulative = h.cumulative();
+                        for (i, &c) in cumulative.iter().enumerate() {
+                            let le = match h.0.bounds.get(i) {
                                 Some(bound) => fmt_f64(*bound),
                                 None => "+Inf".to_string(),
                             };
@@ -459,12 +472,13 @@ impl Registry {
                                 "{}_bucket{} {}",
                                 name,
                                 render_labels(labels, &[("le", &le)]),
-                                cumulative
+                                c
                             );
                         }
                         let plain = render_labels(labels, &[]);
+                        let count = cumulative.last().copied().unwrap_or(0);
                         let _ = writeln!(out, "{}_sum{} {}", name, plain, fmt_f64(h.sum()));
-                        let _ = writeln!(out, "{}_count{} {}", name, plain, h.count());
+                        let _ = writeln!(out, "{}_count{} {}", name, plain, count);
                     }
                 }
             }
@@ -589,6 +603,44 @@ mod tests {
             }
             other => panic!("expected a histogram, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn count_equals_inf_bucket_under_concurrent_observers() {
+        // `_count` is derived from the same bucket pass as `+Inf`, so
+        // every snapshot and every exposition agrees with itself even
+        // while writers are mid-observe.
+        let reg = Registry::new();
+        let h = reg.histogram("race_us", &[], "race", &[1.0, 10.0]);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for w in 0..2 {
+                let (h, stop) = (h.clone(), &stop);
+                s.spawn(move || {
+                    let mut i = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.observe(((i + w) % 20) as f64);
+                        i += 1;
+                    }
+                });
+            }
+            for _ in 0..200 {
+                for snap in reg.snapshot() {
+                    if let MetricValue::Histogram { buckets, count, .. } = snap.value {
+                        assert_eq!(buckets.last().map(|b| b.1), Some(count));
+                    }
+                }
+                let text = reg.render_prometheus();
+                let value = |prefix: &str| {
+                    text.lines()
+                        .find_map(|l| l.strip_prefix(prefix))
+                        .map(|v| v.trim().to_string())
+                };
+                let inf = value("race_us_bucket{le=\"+Inf\"}").expect("+Inf bucket line");
+                assert_eq!(Some(inf), value("race_us_count"));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

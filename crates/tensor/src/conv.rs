@@ -10,7 +10,8 @@
 //! kernel — so every result is bit-identical for every thread count.
 
 use crate::linalg::{gemm, gemm_serial_with, pack_matrix_panel, panel_scratch, transpose_block};
-use crate::{parallel, RowEpilogue, Tensor};
+use crate::{parallel, GemmScalar, RowEpilogue, Tensor};
+use std::ops::AddAssign;
 
 /// Static description of a 2-D convolution (kernel geometry and padding).
 ///
@@ -310,12 +311,13 @@ fn pack_rows(c: usize, h: usize, w: usize, oh: usize, ow: usize, spec: Conv2dSpe
 /// matrix (`c·kh·kw × oh·ow`) straight from the image `in_batch`
 /// (`[c, h, w]` flattened) into `bpack`, each row zero-padded to the
 /// stride `wpad`. Produces exactly the values [`im2col_batch`] would —
-/// padding positions read as zero — without materializing the matrix.
+/// padding positions read as zero — without materializing the matrix;
+/// `load` converts each copied element to the GEMM's element type.
 /// `meta` is the [`pack_rows`] table; the loop body is divisions-free.
 #[allow(clippy::too_many_arguments)]
-fn pack_input_panel(
-    in_batch: &[f32],
-    bpack: &mut [f32],
+fn pack_input_panel<S: Copy, T: GemmScalar>(
+    in_batch: &[S],
+    bpack: &mut [T],
     meta: &[PackRow],
     l0: usize,
     l1: usize,
@@ -325,6 +327,7 @@ fn pack_input_panel(
     img_w: usize,
     ow: usize,
     spec: Conv2dSpec,
+    load: &impl Fn(S) -> T,
 ) {
     let w = img_w;
     let (s, p) = (spec.stride, spec.padding);
@@ -332,7 +335,7 @@ fn pack_input_panel(
     // Output rows `oi` whose pixel range intersects columns [j, col_end).
     let (oi_first, oi_last) = (j / ow, (col_end - 1) / ow);
     for (dst, m) in bpack.chunks_exact_mut(wpad).zip(&meta[l0..l1]) {
-        dst.fill(0.0);
+        dst.fill(T::ZERO);
         for oi in oi_first.max(m.oi_lo)..(oi_last + 1).min(m.oi_hi) {
             let seg_lo = j.saturating_sub(oi * ow).max(m.oj_lo);
             let seg_hi = (col_end - oi * ow).min(ow).min(m.oj_hi);
@@ -343,43 +346,49 @@ fn pack_input_panel(
             let src_base = (m.chh + ii) * w + (seg_lo * s + m.kj - p);
             let dst_seg = &mut dst[oi * ow + seg_lo - j..oi * ow + seg_hi - j];
             if s == 1 {
-                dst_seg.copy_from_slice(&in_batch[src_base..src_base + seg_hi - seg_lo]);
+                let src = &in_batch[src_base..src_base + seg_hi - seg_lo];
+                for (d, &x) in dst_seg.iter_mut().zip(src) {
+                    *d = load(x);
+                }
             } else {
                 for (t, d) in dst_seg.iter_mut().enumerate() {
-                    *d = in_batch[src_base + t * s];
+                    *d = load(in_batch[src_base + t * s]);
                 }
             }
         }
     }
 }
 
-/// Runs the per-batch GEMMs `out[batch] = lhs_rows × B(batch)` (callers
-/// pass a freshly zeroed `out`, so the kernel's store writeback skips
-/// reading the destination back) with the
-/// output partitioned over batch·row blocks. `lhs` is `[m, k]` (shared
-/// across batches); the logical right operand `B(batch)` (`k × n`) is
-/// supplied panel-wise by `pack(batch, l0, l1, j, w, bpack)`. Each output
-/// row is computed by exactly one worker with the serial kernel, so the
-/// result is thread-count invariant. `per_row` runs once per finished row
-/// with the row's *global* item index (`batch · m + row`, so `idx % m`
-/// recovers the within-batch row and `idx · n` the element offset) — the
-/// hook bias folding and the fused quantization epilogues share.
+/// Runs the per-batch GEMMs `out[batch] = lhs_rows × B(batch)` (the
+/// kernel's store writeback overwrites `out`, so it need not be zeroed)
+/// with the output partitioned over batch·row blocks. `lhs` is `[m, k]`
+/// (shared across batches); the logical right operand `B(batch)`
+/// (`k × n`) is supplied panel-wise by `pack(batch, l0, l1, j, w, bpack)`
+/// into one per-worker scratch panel (at most `KC×NR`). Each output row is computed
+/// by exactly one worker with the serial kernel, so the result is
+/// thread-count invariant. `per_row` runs once per finished row with the
+/// row's *global* item index (`batch · m + row`, so `idx % m` recovers
+/// the within-batch row and `idx · n` the element offset) — the hook bias
+/// folding and the fused quantization epilogues share.
 #[allow(clippy::type_complexity)]
-fn batched_gemm_shared_lhs(
-    lhs: &[f32],
-    out: &mut [f32],
+fn batched_gemm_shared_lhs<T, O>(
+    lhs: &[T],
+    out: &mut [O],
     m: usize,
     k: usize,
     n: usize,
-    pack: impl Fn(usize, usize, usize, usize, usize, usize, &mut [f32]) + Sync,
-    per_row: impl Fn(usize, &mut [f32]) + Sync,
-) {
+    pack: impl Fn(usize, usize, usize, usize, usize, usize, &mut [T]) + Sync,
+    per_row: impl Fn(usize, &mut [O]) + Sync,
+) where
+    T: GemmScalar,
+    O: GemmScalar + From<T> + AddAssign,
+{
     if m == 0 || n == 0 {
         return;
     }
     let min_items = (65_536 / (k * n).max(1)).max(1);
     parallel::par_split_mut(out, n, min_items, |items, block| {
-        let mut scratch = panel_scratch();
+        let mut scratch = panel_scratch::<T>(k, n);
         let mut idx = items.start;
         let mut off = 0;
         while idx < items.end {
@@ -405,6 +414,76 @@ fn batched_gemm_shared_lhs(
             off += nrows;
         }
     });
+}
+
+/// The implicit-GEMM convolution loop behind [`conv2d_fused`], generic
+/// over the element type so the integer inference engine runs its
+/// convolutions on the same blocked kernel.
+///
+/// `input` is `[b, ci, h, w]` (`in_dims`) of any element type `S`;
+/// `load` converts each element to the GEMM type `T` as it is packed
+/// (the identity for `f32`; a lossless narrowing where the caller has
+/// proven the values fit). `weight` is `[co, ci·kh·kw]` row-major.
+/// `out` (`[b, co, oh, ow]`) is overwritten: each row's sum is accumulated
+/// in `T` per `KC` panel and widened into `O` as it is stored. `per_row`
+/// then runs once per finished output row with its global row index
+/// `batch·co + channel` (element offset `index · oh·ow`), cache-hot — the
+/// hook for bias folding and fused requantization.
+///
+/// Patches are packed straight from the image into one scratch panel
+/// (at most `KC×NR`) per worker: the im2col matrix is never materialized.
+///
+/// # Panics
+///
+/// Panics when the buffer lengths disagree with the geometry.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_gemm<S, T, O>(
+    input: &[S],
+    in_dims: [usize; 4],
+    weight: &[T],
+    co: usize,
+    spec: Conv2dSpec,
+    out: &mut [O],
+    load: impl Fn(S) -> T + Sync,
+    per_row: impl Fn(usize, &mut [O]) + Sync,
+) where
+    S: Copy + Sync,
+    T: GemmScalar,
+    O: GemmScalar + From<T> + AddAssign,
+{
+    let [b, ci, h, w] = in_dims;
+    let (oh, ow) = spec.output_hw(h, w);
+    let rows = ci * spec.kh * spec.kw;
+    let ncols = oh * ow;
+    let chw = ci * h * w;
+    assert_eq!(input.len(), b * chw, "conv input length mismatch");
+    assert_eq!(weight.len(), co * rows, "conv weight length mismatch");
+    assert_eq!(out.len(), b * co * ncols, "conv output length mismatch");
+    let meta = pack_rows(ci, h, w, oh, ow, spec);
+    batched_gemm_shared_lhs(
+        weight,
+        out,
+        co,
+        rows,
+        ncols,
+        |batch, l0, l1, j, wc, wpad, bpack| {
+            pack_input_panel(
+                &input[batch * chw..(batch + 1) * chw],
+                bpack,
+                &meta,
+                l0,
+                l1,
+                j,
+                wc,
+                wpad,
+                w,
+                ow,
+                spec,
+                &load,
+            );
+        },
+        per_row,
+    );
 }
 
 /// Forward 2-D convolution: `input [b, ci, h, w]`, `weight [co, ci, kh, kw]`,
@@ -454,40 +533,20 @@ pub fn conv2d_fused(
     assert_eq!(weight.dims()[2], spec.kh, "conv2d kernel height mismatch");
     assert_eq!(weight.dims()[3], spec.kw, "conv2d kernel width mismatch");
     let (oh, ow) = spec.output_hw(h, w);
-    let rows = ci * spec.kh * spec.kw;
     let ncols = oh * ow;
     let mut out = Tensor::zeros([b, co, oh, ow]);
     if let Some(bias) = bias {
         assert_eq!(bias.dims(), &[co], "conv2d bias must be [co]");
     }
-    let w2 = weight
-        .reshape([co, ci * spec.kh * spec.kw])
-        .expect("weight reshape is consistent");
     let bias_data = bias.map(|t| t.data());
-    let in_data = input.data();
-    let chw = ci * h * w;
-    let meta = pack_rows(ci, h, w, oh, ow, spec);
-    batched_gemm_shared_lhs(
-        w2.data(),
-        out.data_mut(),
+    conv2d_gemm(
+        input.data(),
+        [b, ci, h, w],
+        weight.data(),
         co,
-        rows,
-        ncols,
-        |batch, l0, l1, j, wc, wpad, bpack| {
-            pack_input_panel(
-                &in_data[batch * chw..(batch + 1) * chw],
-                bpack,
-                &meta,
-                l0,
-                l1,
-                j,
-                wc,
-                wpad,
-                w,
-                ow,
-                spec,
-            );
-        },
+        spec,
+        out.data_mut(),
+        |x| x,
         |idx, out_row| {
             if let Some(bd) = bias_data {
                 let bv = bd[idx % co];

@@ -39,7 +39,7 @@ pub mod shape;
 mod tensor;
 
 pub use error::TensorError;
-pub use linalg::RowEpilogue;
+pub use linalg::{GemmScalar, RowEpilogue};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

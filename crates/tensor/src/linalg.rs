@@ -9,6 +9,7 @@
 //! for every `QCN_NUM_THREADS` setting.
 
 use crate::{parallel, Shape, Tensor};
+use std::ops::AddAssign;
 
 /// A fused writeback epilogue for the blocked kernels: called once per
 /// finished contiguous region of the output with `(offset, region)`, where
@@ -22,6 +23,46 @@ use crate::{parallel, Shape, Tensor};
 /// thread count and tiling; quantized inference uses this to round
 /// activations as they are stored instead of in a second pass.
 pub type RowEpilogue<'a> = &'a (dyn Fn(usize, &mut [f32]) + Sync);
+
+/// An element type the blocked GEMM runs on: `f32` for the float kernels,
+/// `i32` / `i64` for the integer inference engine's convolutions.
+///
+/// One microkernel and one blocking loop serve every type; only the reduction
+/// step differs. For `f32` it is [`crate::fmadd`], so the float kernels
+/// keep their exact reduction order and bits. For the integer types it is
+/// plain `acc + a·b`: integer addition is associative, so any tiling or
+/// partition gives the same exact sum — provided the caller has proven
+/// the accumulator cannot overflow (debug builds panic if it does).
+pub trait GemmScalar: Copy + Send + Sync + 'static {
+    /// The additive identity (packing pads edge tiles with it).
+    const ZERO: Self;
+    /// One reduction step: `acc + a·b`.
+    fn mac(a: Self, b: Self, acc: Self) -> Self;
+}
+
+impl GemmScalar for f32 {
+    const ZERO: Self = 0.0;
+    #[inline(always)]
+    fn mac(a: f32, b: f32, acc: f32) -> f32 {
+        crate::fmadd(a, b, acc)
+    }
+}
+
+impl GemmScalar for i32 {
+    const ZERO: Self = 0;
+    #[inline(always)]
+    fn mac(a: i32, b: i32, acc: i32) -> i32 {
+        acc + a * b
+    }
+}
+
+impl GemmScalar for i64 {
+    const ZERO: Self = 0;
+    #[inline(always)]
+    fn mac(a: i64, b: i64, acc: i64) -> i64 {
+        acc + a * b
+    }
+}
 
 /// Register-tile width (output columns held in accumulators at once).
 /// Four 16-lane vectors per row: each `a` broadcast feeds four FMAs,
@@ -43,19 +84,24 @@ const UL: usize = 2;
 
 /// Computes one `mr × w` output tile (`mr ≤ MR`, `w ≤ W ≤ NR`) for the
 /// panel `l0..l1`, reading the right operand from `bpack` (the panel's
-/// columns packed contiguously, `W` floats per `l`, the `W - w` pad lanes
-/// zero), accumulating into registers first and writing the panel sum to
-/// `out` once — stored outright when `STORE` (first panel of a
+/// columns packed contiguously, `W` elements per `l`, the `W - w` pad
+/// lanes zero), accumulating into registers first and writing the panel
+/// sum to `out` once — stored outright when `STORE` (first panel of a
 /// fresh-output product, skipping the read of the zeroed destination),
 /// added otherwise. The accumulation order over `l` is ascending and
 /// identical for every instantiation, which is what makes the kernel's
 /// reduction order independent of tiling and threading decisions.
+///
+/// The accumulator type `T` may be narrower than the output type `O`
+/// (`i32` accumulators stored into `i64` rows): each panel's sum is
+/// widened as it is written back, so panels beyond the first add in the
+/// wide type.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
-    a: &[f32],
-    bpack: &[f32],
-    out: &mut [f32],
+fn micro_kernel<T, O, const MR_: usize, const W: usize, const STORE: bool>(
+    a: &[T],
+    bpack: &[T],
+    out: &mut [O],
     i0: usize,
     j0: usize,
     w: usize,
@@ -63,15 +109,18 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
     l1: usize,
     k: usize,
     n: usize,
-) {
-    let mut acc = [[0.0f32; W]; MR_];
+) where
+    T: GemmScalar,
+    O: GemmScalar + From<T> + AddAssign,
+{
+    let mut acc = [[T::ZERO; W]; MR_];
     let kc = l1 - l0;
     // Fixed trip counts everywhere so the compiler keeps the whole
     // accumulator tile in vector registers. `UL` panel rows are consumed
     // per iteration; the trailing `kc % UL` rows run through the
     // scalar-`l` epilogue below. Narrow tiles (`w < W`) arrive
     // zero-padded to `W` by the packing stage — the padding lanes
-    // accumulate `av × 0.0` garbage that the `w`-wide writeback discards,
+    // accumulate `av × 0` garbage that the `w`-wide writeback discards,
     // while the live lanes see exactly the full-width reduction order.
     let mut li = 0usize;
     for bgrp in bpack.chunks_exact(W * UL).take(kc / UL) {
@@ -81,7 +130,7 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
             for (u, &av) in arow.iter().enumerate() {
                 let brow = &bgrp[u * W..(u + 1) * W];
                 for c in 0..W {
-                    acc_row[c] = crate::fmadd(av, brow[c], acc_row[c]);
+                    acc_row[c] = T::mac(av, brow[c], acc_row[c]);
                 }
             }
         }
@@ -92,7 +141,7 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = a[(i0 + r) * k + l0 + li];
             for c in 0..W {
-                acc_row[c] = crate::fmadd(av, brow[c], acc_row[c]);
+                acc_row[c] = T::mac(av, brow[c], acc_row[c]);
             }
         }
         li += 1;
@@ -100,10 +149,12 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
     for (r, acc_row) in acc.iter().enumerate() {
         let orow = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + w];
         if STORE {
-            orow.copy_from_slice(&acc_row[..w]);
+            for (o, &v) in orow.iter_mut().zip(&acc_row[..w]) {
+                *o = O::from(v);
+            }
         } else {
             for c in 0..w {
-                orow[c] += acc_row[c];
+                orow[c] += O::from(acc_row[c]);
             }
         }
     }
@@ -114,20 +165,20 @@ fn micro_kernel<const MR_: usize, const W: usize, const STORE: bool>(
 /// the stride `wpad`. The padding keeps the microkernel on a fixed-width
 /// path for narrow edge tiles; the pad lanes are discarded on writeback.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_matrix_panel(
-    b: &[f32],
+pub(crate) fn pack_matrix_panel<T: GemmScalar>(
+    b: &[T],
     n: usize,
     l0: usize,
     l1: usize,
     j: usize,
     w: usize,
     wpad: usize,
-    bpack: &mut [f32],
+    bpack: &mut [T],
 ) {
     for l in l0..l1 {
         let dst = &mut bpack[(l - l0) * wpad..(l - l0 + 1) * wpad];
         dst[..w].copy_from_slice(&b[l * n + j..l * n + j + w]);
-        dst[w..].fill(0.0);
+        dst[w..].fill(T::ZERO);
     }
 }
 
@@ -150,18 +201,21 @@ pub(crate) fn pack_matrix_panel(
 /// order, `l0..l1` within each), so results are bitwise independent of
 /// the blocking and of how `B` is supplied.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub(crate) fn gemm_serial_with(
-    a: &[f32],
-    out: &mut [f32],
+pub(crate) fn gemm_serial_with<T, O>(
+    a: &[T],
+    out: &mut [O],
     m: usize,
     k: usize,
     n: usize,
     store: bool,
-    bpack: &mut [f32],
-    pack_panel: &mut dyn FnMut(usize, usize, usize, usize, usize, &mut [f32]),
-) {
+    bpack: &mut [T],
+    pack_panel: &mut dyn FnMut(usize, usize, usize, usize, usize, &mut [T]),
+) where
+    T: GemmScalar,
+    O: GemmScalar + From<T> + AddAssign,
+{
     debug_assert!(a.len() >= m * k && out.len() >= m * n);
-    debug_assert!(bpack.len() >= KC * NR);
+    debug_assert!(bpack.len() >= KC.min(k) * NR.min((n + 15) & !15));
     if m == 0 || n == 0 {
         return;
     }
@@ -179,9 +233,13 @@ pub(crate) fn gemm_serial_with(
                 macro_rules! tile {
                     ($mr:literal, $w:literal) => {
                         if store && l0 == 0 {
-                            micro_kernel::<$mr, $w, true>(a, bpack, out, i, j, w, l0, l1, k, n)
+                            micro_kernel::<T, O, $mr, $w, true>(
+                                a, bpack, out, i, j, w, l0, l1, k, n,
+                            )
                         } else {
-                            micro_kernel::<$mr, $w, false>(a, bpack, out, i, j, w, l0, l1, k, n)
+                            micro_kernel::<T, O, $mr, $w, false>(
+                                a, bpack, out, i, j, w, l0, l1, k, n,
+                            )
                         }
                     };
                 }
@@ -245,12 +303,13 @@ pub(crate) fn gemm_serial(
     );
 }
 
-/// One worker's panel-packing scratch (`KC × NR`): allocate once per
-/// worker partition and reuse across panels, batches, and GEMM calls —
-/// the pack callbacks overwrite the used prefix in full, so the buffer
-/// never needs re-zeroing between calls.
-pub(crate) fn panel_scratch() -> Vec<f32> {
-    vec![0.0f32; KC * NR]
+/// One worker's panel-packing scratch for `k × n` right operands: the
+/// largest panel they pack, at most `KC × NR`. Allocate once per worker
+/// partition and reuse across panels, batches, and GEMM calls of that
+/// shape — the pack callbacks overwrite the used prefix in full, so the
+/// buffer never needs re-zeroing between calls.
+pub(crate) fn panel_scratch<T: GemmScalar>(k: usize, n: usize) -> Vec<T> {
+    vec![T::ZERO; KC.min(k) * NR.min((n + 15) & !15)]
 }
 
 /// `out += a[m,k] × b[k,n]` (`out = a × b` when `store`), parallelized
@@ -279,7 +338,7 @@ pub(crate) fn gemm(
     let min_rows = (65_536 / (k * n).max(1)).max(1);
     parallel::par_split_mut(out, n, min_rows, |rows, out_rows| {
         let a_rows = &a[rows.start * k..rows.end * k];
-        let mut scratch = panel_scratch();
+        let mut scratch = panel_scratch(k, n);
         gemm_serial(a_rows, b, out_rows, rows.len(), k, n, store, &mut scratch);
         if let Some(epi) = epilogue {
             epi(rows.start * n, out_rows);
@@ -400,7 +459,7 @@ impl Tensor {
             // One batch per worker at minimum; each batch's product is the
             // serial kernel, so batch order inside a worker is irrelevant.
             parallel::par_split_mut(&mut out, m * n, 1, |batches, out_block| {
-                let mut scratch = panel_scratch();
+                let mut scratch = panel_scratch(k, n);
                 for (off, batch) in batches.clone().enumerate() {
                     let block = &mut out_block[off * m * n..(off + 1) * m * n];
                     gemm_serial(

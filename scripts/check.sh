@@ -7,6 +7,10 @@ cargo fmt --check
 cargo build --release
 cargo test -q
 cargo test -q --test integer_inference_equivalence
+# Crate unit suites the facade's `cargo test` does not reach: the blocked
+# GEMM (f32 and integer), shift requantization, the integer engine's
+# differential conv tests, telemetry and the vendored bench harness.
+cargo test -q -p qcn-tensor -p qcn-fixed -p qcn-intinfer -p qcn-telemetry -p criterion
 # Serving soak: the determinism contract must hold for every kernel
 # thread count (serial, even split, odd split) — both for in-process
 # submits and over the socket front-end. `--router-smoke` additionally
